@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: distance
 // computations, NN-chain clustering, the vector indexes (build, save, load,
-// query), and tuple encoding. The CI bench-smoke job runs the BM_Index*
-// benchmarks with --benchmark_out=BENCH_index.json and uploads the JSON as
-// a per-PR artifact, so the offline-build and online-serve timings are
-// tracked across revisions.
+// query), and tuple encoding. The CI bench-smoke job runs the BM_Index*,
+// BM_Kernel* and diversification (BM_DistanceMatrix, BM_NnChainClustering)
+// benchmarks into BENCH_index.json, BENCH_kernels.json and
+// BENCH_diversify.json and uploads them as per-PR artifacts, so the
+// timings are tracked across revisions.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -61,6 +62,29 @@ void BM_KernelCosineTerms(benchmark::State& state) {
   state.SetLabel(ops.name);
 }
 BENCHMARK(BM_KernelCosineTerms)->ArgsProduct({{128, 768}, {0, 1}});
+
+/// One row of a distance-matrix tile: 64 packed candidates per dot_rows
+/// call, the shape la::DistanceMatrix issues.
+void BM_KernelDotRows(benchmark::State& state) {
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const size_t count = 64;
+  const la::simd::Kernels& ops = BenchKernels(state.range(1) != 0);
+  auto points = bench::SyntheticTupleCloud(count + 1, dim, 4, 1);
+  std::vector<float> packed;
+  for (size_t c = 1; c <= count; ++c) {
+    packed.insert(packed.end(), points[c].begin(), points[c].end());
+  }
+  std::vector<float> out(count);
+  for (auto _ : state) {
+    ops.dot_rows(points[0].data(), packed.data(), dim, count, dim,
+                 out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(count));
+  state.SetLabel(ops.name);
+}
+BENCHMARK(BM_KernelDotRows)->ArgsProduct({{64, 128, 768}, {0, 1}});
 
 /// One-to-many batch kernel over an 8k-vector base with cached norms — the
 /// exact shape of a FlatIndex scan / IVF probe.
@@ -123,20 +147,20 @@ void BM_DistanceMatrix(benchmark::State& state) {
     benchmark::DoNotOptimize(m.at(0, n - 1));
   }
 }
-BENCHMARK(BM_DistanceMatrix)->Arg(200)->Arg(500)->Arg(1000);
+// 2500 is the paper's pruning size s (Sec. 5.2), the n DUST clusters at.
+BENCHMARK(BM_DistanceMatrix)->Arg(200)->Arg(500)->Arg(1000)->Arg(2500);
 
 void BM_NnChainClustering(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   auto points = bench::SyntheticTupleCloud(n, 64, 10, 3);
   la::DistanceMatrix matrix(points, la::Metric::kCosine);
   for (auto _ : state) {
-    la::DistanceMatrix copy = matrix;
-    cluster::Dendrogram d = cluster::AgglomerativeCluster(
-        std::move(copy), cluster::Linkage::kAverage);
+    cluster::Dendrogram d =
+        cluster::AgglomerativeCluster(matrix, cluster::Linkage::kAverage);
     benchmark::DoNotOptimize(d.merges.size());
   }
 }
-BENCHMARK(BM_NnChainClustering)->Arg(200)->Arg(500)->Arg(1000);
+BENCHMARK(BM_NnChainClustering)->Arg(200)->Arg(500)->Arg(1000)->Arg(2500);
 
 constexpr const char* kIndexTypes[] = {"flat", "ivf", "lsh", "hnsw"};
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "la/simd/kernels.h"
 #include "util/status.h"
 
 namespace dust::cluster {
@@ -29,18 +30,41 @@ class UnionFind {
   std::vector<size_t> parent_;
 };
 
+/// row_a[c] = LanceWilliams(d(a, c), d(b, c)) for every c, live or not: a
+/// straight loop with the linkage fixed at compile time, which the compiler
+/// vectorises for average linkage. Entries of merged clusters come out as
+/// garbage that the argmin mask hides.
+template <Linkage kLinkage>
+void LanceWilliamsRow(float* row_a, const float* row_b, float d_ab,
+                      size_t size_a, size_t size_b, const size_t* sizes,
+                      size_t n) {
+  for (size_t c = 0; c < n; ++c) {
+    row_a[c] = LanceWilliams(kLinkage, row_a[c], row_b[c], d_ab, size_a,
+                             size_b, sizes[c]);
+  }
+}
+
 }  // namespace
 
-Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
+Dendrogram AgglomerativeCluster(const la::DistanceMatrix& distances,
+                                Linkage linkage) {
   const size_t n = distances.size();
   Dendrogram dendrogram;
   dendrogram.num_leaves = n;
   if (n <= 1) return dendrogram;
 
-  // Active-cluster bookkeeping. Cluster slots reuse the row of one member
-  // (so a slot index is always a leaf index belonging to that cluster).
-  std::vector<bool> active(n, true);
+  // The one working copy. Cluster slots reuse the row of one member (so a
+  // slot index is always a leaf index belonging to that cluster); +inf on
+  // the diagonal keeps a cluster from being its own nearest neighbour.
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> work(distances.row(0), distances.row(0) + n * n);
+  for (size_t x = 0; x < n; ++x) work[x * n + x] = inf;
+  auto row = [&](size_t x) { return work.data() + x * n; };
+  // 0 for live clusters, +inf for merged ones: added to a row, it hides
+  // merged clusters from the SIMD argmin.
+  std::vector<float> mask(n, 0.0f);
   std::vector<size_t> size(n, 1);
+  const la::simd::Kernels& ops = la::simd::Active();
 
   // NN-chain stack.
   std::vector<size_t> chain;
@@ -53,39 +77,42 @@ Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
   std::vector<RawMerge> raw;
   raw.reserve(n - 1);
 
-  size_t remaining = n;
-
-  auto nearest_active = [&](size_t x) {
-    float best = std::numeric_limits<float>::infinity();
-    size_t arg = x;
-    for (size_t y = 0; y < n; ++y) {
-      if (!active[y] || y == x) continue;
-      float d = distances.at(x, y);
-      if (d < best || (d == best && y < arg)) {
-        best = d;
-        arg = y;
-      }
+  // Column a of every other row goes stale when a merge rewrites row a.
+  // Rather than write that column into every live row at each merge (a
+  // cache miss per row), a row pulls its stale entries, from the merge
+  // targets logged since its last update, just before it is read. That
+  // trades scattered writes for fewer scattered reads.
+  std::vector<size_t> rewritten;
+  rewritten.reserve(n - 1);
+  std::vector<size_t> synced(n, 0);  // rewritten.size() at x's last update
+  auto bring_up_to_date = [&](size_t x) {
+    float* row_x = row(x);
+    for (size_t k = synced[x]; k < rewritten.size(); ++k) {
+      const size_t a = rewritten[k];
+      if (mask[a] == 0.0f) row_x[a] = row(a)[x];
     }
-    return std::make_pair(arg, best);
+    synced[x] = rewritten.size();
   };
 
+  size_t remaining = n;
+  size_t first_live = 0;
   while (remaining > 1) {
     if (chain.empty()) {
-      // Start a new chain from the lowest-index active cluster.
-      for (size_t x = 0; x < n; ++x) {
-        if (active[x]) {
-          chain.push_back(x);
-          break;
-        }
-      }
+      // Start a new chain from the lowest-index live cluster.
+      while (mask[first_live] != 0.0f) ++first_live;
+      chain.push_back(first_live);
     }
     while (true) {
       size_t top = chain.back();
-      auto [nn, d] = nearest_active(top);
+      bring_up_to_date(top);
+      // Ties go to the lowest index.
+      float d = inf;
+      size_t nn = ops.masked_argmin(row(top), mask.data(), n, &d);
+      DUST_CHECK(nn < n && "a cluster has no finite distance to any other");
       // Prefer the chain predecessor on ties so reciprocity is detected.
       if (chain.size() >= 2) {
         size_t prev = chain[chain.size() - 2];
-        if (distances.at(top, prev) == d) nn = prev;
+        if (row(top)[prev] == d) nn = prev;
       }
       if (chain.size() >= 2 && nn == chain[chain.size() - 2]) {
         // Reciprocal nearest neighbors: merge top and nn.
@@ -94,20 +121,37 @@ Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage) {
         chain.pop_back();
         chain.pop_back();
 
-        float d_ab = distances.at(a, b);
-        size_t new_size = size[a] + size[b];
+        float d_ab = row(a)[b];
         raw.push_back({a, b, d_ab});
 
-        // Merge b's slot into a's slot; Lance-Williams updates row a.
-        for (size_t c = 0; c < n; ++c) {
-          if (!active[c] || c == a || c == b) continue;
-          float updated = LanceWilliams(linkage, distances.at(a, c),
-                                        distances.at(b, c), d_ab, size[a],
-                                        size[b], size[c]);
-          distances.set(a, c, updated);
+        // Merge b's slot into a's slot: Lance-Williams rewrites row a from
+        // rows a and b. Row b may predate a merge further up the chain.
+        bring_up_to_date(b);
+        switch (linkage) {
+          case Linkage::kSingle:
+            LanceWilliamsRow<Linkage::kSingle>(row(a), row(b), d_ab, size[a],
+                                               size[b], size.data(), n);
+            break;
+          case Linkage::kComplete:
+            LanceWilliamsRow<Linkage::kComplete>(row(a), row(b), d_ab,
+                                                 size[a], size[b],
+                                                 size.data(), n);
+            break;
+          case Linkage::kAverage:
+            LanceWilliamsRow<Linkage::kAverage>(row(a), row(b), d_ab,
+                                                size[a], size[b], size.data(),
+                                                n);
+            break;
+          case Linkage::kWard:
+            LanceWilliamsRow<Linkage::kWard>(row(a), row(b), d_ab, size[a],
+                                             size[b], size.data(), n);
+            break;
         }
-        active[b] = false;
-        size[a] = new_size;
+        row(a)[a] = inf;
+        mask[b] = inf;
+        size[a] += size[b];
+        rewritten.push_back(a);
+        synced[a] = rewritten.size();
         --remaining;
         break;
       }

@@ -28,9 +28,12 @@ struct Dendrogram {
   std::vector<Merge> merges;
 };
 
-/// Builds the dendrogram of `points` under `linkage`. The input distance
-/// matrix is consumed (mutated in place).
-Dendrogram AgglomerativeCluster(la::DistanceMatrix distances, Linkage linkage);
+/// Builds the dendrogram over the points of `distances` under `linkage`.
+/// The matrix is left as it is: clustering works on one internal copy.
+/// Every cluster needs a finite distance to some other (NaN and +inf
+/// entries are never chosen as nearest).
+Dendrogram AgglomerativeCluster(const la::DistanceMatrix& distances,
+                                Linkage linkage);
 
 /// Convenience overload: computes the distance matrix first.
 Dendrogram AgglomerativeCluster(const std::vector<la::Vec>& points,

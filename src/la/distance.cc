@@ -1,5 +1,6 @@
 #include "la/distance.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "la/simd/kernels.h"
@@ -152,6 +153,25 @@ void DistanceToManyImpl(Metric metric, const Vec& query,
   DUST_CHECK(false && "invalid Metric enum value");
 }
 
+/// In place, dots[c] = CosineDistanceFromDot(dots[c], norm_a, norms_b[c]),
+/// bit for bit, in a form the compiler vectorises. Clamping 1 - sim into
+/// [0, 2] gives the same bits as clamping sim into [-1, 1] before
+/// subtracting: rounding is monotonic, and both forms give +0 and 2 at the
+/// ends. Unlike the early-return form, it leaves the compiler no constant
+/// arm to turn into a branch. One call per pair is faster the other way,
+/// so CosineDistanceFromDot keeps it.
+void CosineDistancesFromDots(float norm_a, const float* norms_b, size_t count,
+                             float* dots) {
+  for (size_t c = 0; c < count; ++c) {
+    const float norm_b = norms_b[c];
+    float d = 1.0f - dots[c] / (norm_a * norm_b);
+    d = d < 0.0f ? 0.0f : d;
+    d = d > 2.0f ? 2.0f : d;
+    const float zero_vector = norm_a == 0.0f && norm_b == 0.0f ? 0.0f : 1.0f;
+    dots[c] = norm_a == 0.0f || norm_b == 0.0f ? zero_vector : d;
+  }
+}
+
 }  // namespace
 
 void DistanceToMany(Metric metric, const Vec& query,
@@ -187,18 +207,59 @@ void DistanceToMany(Metric metric, const Vec& query,
 
 DistanceMatrix::DistanceMatrix(const std::vector<Vec>& points, Metric metric)
     : n_(points.size()), data_(points.size() * points.size(), 0.0f) {
-  // Row-at-a-time batch kernel over the strict upper triangle; the norm
-  // cache (only read by cosine) makes each cosine entry a single dot
-  // product.
+  if (n_ < 2) return;
+  const simd::Kernels& ops = simd::Active();
+  // One contiguous row-major block, so a tile's candidates are a strided
+  // run for dot_rows instead of n separate heap vectors.
+  const size_t dim = points[0].size();
+  std::vector<float> packed(n_ * dim);
+  for (size_t i = 0; i < n_; ++i) {
+    DUST_CHECK(points[i].size() == dim);
+    std::copy(points[i].begin(), points[i].end(), packed.begin() + i * dim);
+  }
+  auto point = [&](size_t i) { return packed.data() + i * dim; };
+  // Only cosine reads the norm cache; with it each entry is one dot.
   std::vector<float> norms;
   if (metric == Metric::kCosine) norms = NormsOf(points);
-  const float* norms_data = norms.empty() ? nullptr : norms.data();
-  std::vector<float> row;
-  for (size_t i = 0; i + 1 < n_; ++i) {
-    row.resize(n_ - i - 1);
-    DistanceToManyImpl(metric, points[i], points, norms_data, n_ - i - 1,
-                       row.data(), [i](size_t j) { return i + 1 + j; });
-    for (size_t j = i + 1; j < n_; ++j) set(i, j, row[j - i - 1]);
+  // out[c] = Distance(point(i), point(j + c)) for c in [0, count), with
+  // the row point first, exactly as a one-to-many scan from point(i).
+  auto fill_row = [&](size_t i, size_t j, size_t count, float* out) {
+    switch (metric) {
+      case Metric::kCosine:
+        ops.dot_rows(point(i), point(j), dim, count, dim, out);
+        CosineDistancesFromDots(norms[i], norms.data() + j, count, out);
+        return;
+      case Metric::kEuclidean:
+        for (size_t c = 0; c < count; ++c) {
+          out[c] = std::sqrt(ops.squared_l2(point(i), point(j + c), dim));
+        }
+        return;
+      case Metric::kManhattan:
+        for (size_t c = 0; c < count; ++c) {
+          out[c] = ops.l1(point(i), point(j + c), dim);
+        }
+        return;
+    }
+    DUST_CHECK(false && "invalid Metric enum value");
+  };
+  // Strict upper triangle in kTile x kTile tiles. Each tile's mirror goes
+  // into the lower triangle while the tile is still in L1, as contiguous
+  // runs rather than one n-float stride per entry.
+  constexpr size_t kTile = 64;
+  for (size_t i0 = 0; i0 < n_; i0 += kTile) {
+    const size_t i1 = std::min(i0 + kTile, n_);
+    for (size_t j0 = i0; j0 < n_; j0 += kTile) {
+      const size_t j1 = std::min(j0 + kTile, n_);
+      for (size_t i = i0; i < i1; ++i) {
+        const size_t j = std::max(j0, i + 1);
+        if (j < j1) fill_row(i, j, j1 - j, &data_[i * n_ + j]);
+      }
+      for (size_t j = j0; j < j1; ++j) {
+        for (size_t i = i0; i < std::min(i1, j); ++i) {
+          data_[j * n_ + i] = data_[i * n_ + j];
+        }
+      }
+    }
   }
 }
 

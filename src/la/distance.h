@@ -87,11 +87,15 @@ class DistanceMatrix {
   DistanceMatrix() : n_(0) {}
 
   /// Precomputes all pairwise distances between `points` under `metric`.
+  /// Entry (i, j) is bit-identical to DistanceToMany from points[i] with a
+  /// NormsOf cache; the fill is tiled and uses the dot_rows kernel.
   DistanceMatrix(const std::vector<Vec>& points, Metric metric);
 
   size_t size() const { return n_; }
 
   float at(size_t i, size_t j) const { return data_[i * n_ + j]; }
+  /// Row i as n contiguous floats; row(0) starts the whole n x n block.
+  const float* row(size_t i) const { return data_.data() + i * n_; }
   void set(size_t i, size_t j, float d) {
     data_[i * n_ + j] = d;
     data_[j * n_ + i] = d;

@@ -2,7 +2,8 @@
 //
 // Every distance computation in the library — all four VectorIndex types,
 // the diversifier's pairwise scans, PCA, and the NN trainer — reduces to
-// the handful of dense float reductions declared here. The backend is
+// the handful of dense float reductions declared here, and NN-chain
+// clustering's nearest-neighbour scan to its masked argmin. The backend is
 // selected once at first use: AVX2+FMA when the binary carries it and the
 // CPU reports support (CPUID via __builtin_cpu_supports), scalar otherwise.
 // Setting DUST_FORCE_SCALAR=1 in the environment pins the scalar backend,
@@ -28,6 +29,16 @@ struct Kernels {
   /// reductions cosine distance needs.
   void (*cosine_terms)(const float* a, const float* b, size_t n, float* dot,
                        float* a_squared, float* b_squared);
+  /// One-to-many dot: out[c] = dot(a, base + c * stride, n) for c in
+  /// [0, count), bit-identical to calling `dot` once per candidate (same
+  /// accumulation order), but sharing each load of `a` across candidates.
+  void (*dot_rows)(const float* a, const float* base, size_t stride,
+                   size_t count, size_t n, float* out);
+  /// Index of the first minimum of row[i] + mask[i] over i in [0, n), with
+  /// that sum in *best. A mask of 0 keeps an entry and +inf drops it; NaN
+  /// sums never win. Returns n (and *best = +inf) when no sum is below +inf.
+  size_t (*masked_argmin)(const float* row, const float* mask, size_t n,
+                          float* best);
   /// Backend name for logs/benchmarks: "scalar" or "avx2".
   const char* name;
 };

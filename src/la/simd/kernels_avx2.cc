@@ -11,6 +11,7 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <limits>
 
 namespace dust::la::simd {
 namespace {
@@ -23,6 +24,16 @@ inline float HorizontalSum(__m256 v) {
   lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
   lo = _mm_add_ss(lo, _mm_movehdup_ps(lo));
   return _mm_cvtss_f32(lo);
+}
+
+/// The end of every dot product: fold the two accumulators, then add the
+/// products from index i on one at a time. DotAvx2 and DotRowsAvx2 both
+/// finish here, which keeps their results bit-identical.
+inline float FinishDot(__m256 acc0, __m256 acc1, const float* a,
+                       const float* b, size_t i, size_t n) {
+  float sum = HorizontalSum(_mm256_add_ps(acc0, acc1));
+  for (; i < n; ++i) sum += a[i] * b[i];
+  return sum;
 }
 
 float DotAvx2(const float* a, const float* b, size_t n) {
@@ -40,9 +51,51 @@ float DotAvx2(const float* a, const float* b, size_t n) {
                            acc0);
     i += 8;
   }
-  float sum = HorizontalSum(_mm256_add_ps(acc0, acc1));
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
+  return FinishDot(acc0, acc1, a, b, i, n);
+}
+
+/// DotAvx2 against four candidates per pass: each candidate keeps its own
+/// acc0/acc1 pair and sees exactly DotAvx2's operation order, while every
+/// load of `a` feeds four FMAs instead of one.
+void DotRowsAvx2(const float* a, const float* base, size_t stride,
+                 size_t count, size_t n, float* out) {
+  size_t c = 0;
+  for (; c + 4 <= count; c += 4) {
+    const float* b0 = base + c * stride;
+    const float* b1 = b0 + stride;
+    const float* b2 = b1 + stride;
+    const float* b3 = b2 + stride;
+    __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
+    __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
+    __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
+    __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
+    size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+      const __m256 a0 = _mm256_loadu_ps(a + i);
+      const __m256 a1 = _mm256_loadu_ps(a + i + 8);
+      acc00 = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b0 + i), acc00);
+      acc01 = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b0 + i + 8), acc01);
+      acc10 = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b1 + i), acc10);
+      acc11 = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b1 + i + 8), acc11);
+      acc20 = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b2 + i), acc20);
+      acc21 = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b2 + i + 8), acc21);
+      acc30 = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b3 + i), acc30);
+      acc31 = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b3 + i + 8), acc31);
+    }
+    if (i + 8 <= n) {
+      const __m256 a0 = _mm256_loadu_ps(a + i);
+      acc00 = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b0 + i), acc00);
+      acc10 = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b1 + i), acc10);
+      acc20 = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b2 + i), acc20);
+      acc30 = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b3 + i), acc30);
+      i += 8;
+    }
+    out[c] = FinishDot(acc00, acc01, a, b0, i, n);
+    out[c + 1] = FinishDot(acc10, acc11, a, b1, i, n);
+    out[c + 2] = FinishDot(acc20, acc21, a, b2, i, n);
+    out[c + 3] = FinishDot(acc30, acc31, a, b3, i, n);
+  }
+  for (; c < count; ++c) out[c] = DotAvx2(a, base + c * stride, n);
 }
 
 float NormSquaredAvx2(const float* a, size_t n) { return DotAvx2(a, a, n); }
@@ -120,6 +173,62 @@ void CosineTermsAvx2(const float* a, const float* b, size_t n, float* dot,
   *b_squared = bb;
 }
 
+/// Two passes over L1-resident data: a branch-free min of row + mask, then
+/// a compare-and-movemask scan for the first lane holding it. Cheaper than
+/// carrying an index alongside every running minimum.
+size_t MaskedArgminAvx2(const float* row, const float* mask, size_t n,
+                        float* best) {
+  const float inf = std::numeric_limits<float>::infinity();
+  // _mm256_min_ps returns its second operand when either is NaN, so a NaN
+  // sum never replaces the running minimum.
+  __m256 min0 = _mm256_set1_ps(inf);
+  __m256 min1 = min0;
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    min0 = _mm256_min_ps(
+        _mm256_add_ps(_mm256_loadu_ps(row + i), _mm256_loadu_ps(mask + i)),
+        min0);
+    min1 = _mm256_min_ps(_mm256_add_ps(_mm256_loadu_ps(row + i + 8),
+                                       _mm256_loadu_ps(mask + i + 8)),
+                         min1);
+  }
+  if (i + 8 <= n) {
+    min0 = _mm256_min_ps(
+        _mm256_add_ps(_mm256_loadu_ps(row + i), _mm256_loadu_ps(mask + i)),
+        min0);
+    i += 8;
+  }
+  const __m256 min8 = _mm256_min_ps(min0, min1);
+  __m128 m = _mm_min_ps(_mm256_castps256_ps128(min8),
+                        _mm256_extractf128_ps(min8, 1));
+  m = _mm_min_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_min_ss(m, _mm_movehdup_ps(m));
+  float min = _mm_cvtss_f32(m);
+  for (; i < n; ++i) {
+    const float v = row[i] + mask[i];
+    if (v < min) min = v;
+  }
+  if (!(min < inf)) {
+    *best = inf;
+    return n;
+  }
+
+  const __m256 target = _mm256_set1_ps(min);
+  for (i = 0; i + 8 <= n; i += 8) {
+    const __m256 v =
+        _mm256_add_ps(_mm256_loadu_ps(row + i), _mm256_loadu_ps(mask + i));
+    const int hits = _mm256_movemask_ps(_mm256_cmp_ps(v, target, _CMP_EQ_OQ));
+    if (hits != 0) {
+      i += static_cast<size_t>(__builtin_ctz(static_cast<unsigned>(hits)));
+      break;
+    }
+  }
+  for (; i < n && !(row[i] + mask[i] == min); ++i) {
+  }
+  *best = row[i] + mask[i];
+  return i;
+}
+
 }  // namespace
 
 bool Avx2Available() {
@@ -134,6 +243,8 @@ const Kernels& Avx2Kernels() {
     k.squared_l2 = SquaredL2Avx2;
     k.l1 = L1Avx2;
     k.cosine_terms = CosineTermsAvx2;
+    k.dot_rows = DotRowsAvx2;
+    k.masked_argmin = MaskedArgminAvx2;
     k.name = "avx2";
     return k;
   }();

@@ -6,6 +6,7 @@
 // "scalar" honest as the benchmark baseline).
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "la/simd/kernels.h"
 
@@ -70,6 +71,28 @@ void CosineTermsScalar(const float* a, const float* b, size_t n, float* dot,
   *b_squared = bb;
 }
 
+void DotRowsScalar(const float* a, const float* base, size_t stride,
+                   size_t count, size_t n, float* out) {
+  for (size_t c = 0; c < count; ++c) {
+    out[c] = DotScalar(a, base + c * stride, n);
+  }
+}
+
+size_t MaskedArgminScalar(const float* row, const float* mask, size_t n,
+                          float* best) {
+  float min = std::numeric_limits<float>::infinity();
+  size_t arg = n;
+  for (size_t i = 0; i < n; ++i) {
+    const float v = row[i] + mask[i];
+    if (v < min) {
+      min = v;
+      arg = i;
+    }
+  }
+  *best = min;
+  return arg;
+}
+
 }  // namespace
 
 const Kernels& ScalarKernels() {
@@ -80,6 +103,8 @@ const Kernels& ScalarKernels() {
     k.squared_l2 = SquaredL2Scalar;
     k.l1 = L1Scalar;
     k.cosine_terms = CosineTermsScalar;
+    k.dot_rows = DotRowsScalar;
+    k.masked_argmin = MaskedArgminScalar;
     k.name = "scalar";
     return k;
   }();

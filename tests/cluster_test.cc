@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "cluster/agglomerative.h"
 #include "cluster/constrained.h"
 #include "cluster/kmeans.h"
 #include "cluster/medoid.h"
 #include "cluster/silhouette.h"
+#include "la/simd/kernels.h"
 #include "util/rng.h"
 
 namespace dust::cluster {
@@ -35,9 +41,26 @@ std::vector<Vec> TwoBlobs(size_t per_blob, uint64_t seed = 99) {
 }
 
 TEST(LinkageTest, NamesRoundTrip) {
-  EXPECT_EQ(LinkageFromName("average"), Linkage::kAverage);
-  EXPECT_EQ(LinkageFromName("Single"), Linkage::kSingle);
+  for (Linkage linkage : {Linkage::kSingle, Linkage::kComplete,
+                          Linkage::kAverage, Linkage::kWard}) {
+    Result<Linkage> parsed = LinkageFromName(LinkageName(linkage));
+    ASSERT_TRUE(parsed.ok()) << LinkageName(linkage);
+    EXPECT_EQ(parsed.value(), linkage);
+  }
+  EXPECT_EQ(LinkageFromName("Single").value(), Linkage::kSingle);
   EXPECT_STREQ(LinkageName(Linkage::kComplete), "complete");
+}
+
+TEST(LinkageTest, UnknownNameIsInvalidArgument) {
+  for (const char* typo : {"avg", "wrad", "", "average "}) {
+    Result<Linkage> parsed = LinkageFromName(typo);
+    ASSERT_FALSE(parsed.ok()) << typo;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << typo;
+  }
+}
+
+TEST(LinkageDeathTest, CorruptTagAborts) {
+  EXPECT_DEATH(LinkageName(static_cast<Linkage>(99)), "invalid Linkage");
 }
 
 TEST(LinkageTest, LanceWilliamsSingleComplete) {
@@ -143,6 +166,278 @@ TEST_P(LinkagePropertyTest, CutsAreNested) {
 INSTANTIATE_TEST_SUITE_P(AllLinkages, LinkagePropertyTest,
                          ::testing::Values(Linkage::kSingle, Linkage::kComplete,
                                            Linkage::kAverage, Linkage::kWard));
+
+// --- Exact oracle -------------------------------------------------------
+//
+// The tiled DistanceMatrix fill and the masked-argmin NN-chain against the
+// row-at-a-time fill and the scan-based NN-chain they replaced, kept here
+// verbatim as references. Every float must match bit for bit.
+
+/// Pins one kernel backend for its scope. Pinning AVX2 re-runs the startup
+/// selection with DUST_FORCE_SCALAR cleared, so a run under that variable
+/// still covers both backends.
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(bool scalar) {
+    if (scalar) {
+      la::simd::ForceScalar(true);
+      return;
+    }
+    const char* env = std::getenv("DUST_FORCE_SCALAR");
+    const std::string saved = env == nullptr ? "" : env;
+    unsetenv("DUST_FORCE_SCALAR");
+    la::simd::ForceScalar(false);
+    if (env != nullptr) setenv("DUST_FORCE_SCALAR", saved.c_str(), 1);
+  }
+  ~ScopedBackend() { la::simd::ForceScalar(false); }
+  ScopedBackend(const ScopedBackend&) = delete;
+  ScopedBackend& operator=(const ScopedBackend&) = delete;
+};
+
+/// The reference fill: one gathered DistanceToMany per row over the strict
+/// upper triangle (norm-cached for cosine), mirrored entry by entry.
+std::vector<float> ReferenceDistances(const std::vector<Vec>& points,
+                                      Metric metric) {
+  const size_t n = points.size();
+  std::vector<float> d(n * n, 0.0f);
+  std::vector<float> norms;
+  if (metric == Metric::kCosine) norms = la::NormsOf(points);
+  const float* norms_data = norms.empty() ? nullptr : norms.data();
+  std::vector<size_t> ids;
+  std::vector<float> row;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    ids.resize(n - i - 1);
+    std::iota(ids.begin(), ids.end(), i + 1);
+    row.resize(ids.size());
+    la::DistanceToMany(metric, points[i], points, norms_data, ids.data(),
+                       ids.size(), row.data());
+    for (size_t j = i + 1; j < n; ++j) {
+      d[i * n + j] = row[j - i - 1];
+      d[j * n + i] = row[j - i - 1];
+    }
+  }
+  return d;
+}
+
+/// The reference NN-chain: a linear nearest-active scan with a
+/// std::vector<bool> of live clusters and a Lance-Williams update that
+/// skips merged clusters, followed by the sort-and-relabel step.
+Dendrogram ReferenceCluster(std::vector<float> d, size_t n, Linkage linkage) {
+  Dendrogram dendrogram;
+  dendrogram.num_leaves = n;
+  if (n <= 1) return dendrogram;
+  auto at = [&](size_t i, size_t j) { return d[i * n + j]; };
+  std::vector<bool> active(n, true);
+  std::vector<size_t> size(n, 1);
+  std::vector<size_t> chain;
+  struct RawMerge {
+    size_t slot_a, slot_b;
+    float distance;
+  };
+  std::vector<RawMerge> raw;
+  size_t remaining = n;
+  auto nearest_active = [&](size_t x) {
+    float best = std::numeric_limits<float>::infinity();
+    size_t arg = x;
+    for (size_t y = 0; y < n; ++y) {
+      if (!active[y] || y == x) continue;
+      float dist = at(x, y);
+      if (dist < best || (dist == best && y < arg)) {
+        best = dist;
+        arg = y;
+      }
+    }
+    return std::make_pair(arg, best);
+  };
+  while (remaining > 1) {
+    if (chain.empty()) {
+      for (size_t x = 0; x < n; ++x) {
+        if (active[x]) {
+          chain.push_back(x);
+          break;
+        }
+      }
+    }
+    while (true) {
+      size_t top = chain.back();
+      auto [nn, dist] = nearest_active(top);
+      if (chain.size() >= 2) {
+        size_t prev = chain[chain.size() - 2];
+        if (at(top, prev) == dist) nn = prev;
+      }
+      if (chain.size() >= 2 && nn == chain[chain.size() - 2]) {
+        size_t a = top;
+        size_t b = nn;
+        chain.pop_back();
+        chain.pop_back();
+        float d_ab = at(a, b);
+        size_t new_size = size[a] + size[b];
+        raw.push_back({a, b, d_ab});
+        for (size_t c = 0; c < n; ++c) {
+          if (!active[c] || c == a || c == b) continue;
+          float updated = LanceWilliams(linkage, at(a, c), at(b, c), d_ab,
+                                        size[a], size[b], size[c]);
+          d[a * n + c] = updated;
+          d[c * n + a] = updated;
+        }
+        active[b] = false;
+        size[a] = new_size;
+        --remaining;
+        break;
+      }
+      chain.push_back(nn);
+    }
+  }
+  std::vector<size_t> order(raw.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return raw[x].distance < raw[y].distance;
+  });
+  std::vector<size_t> parent(n);
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&](size_t x) {
+    while (parent[x] != x) x = parent[x];
+    return x;
+  };
+  std::vector<size_t> root_id(n);
+  std::iota(root_id.begin(), root_id.end(), 0);
+  std::vector<size_t> root_size(n, 1);
+  for (size_t i = 0; i < order.size(); ++i) {
+    const RawMerge& m = raw[order[i]];
+    size_t ra = find(m.slot_a);
+    size_t rb = find(m.slot_b);
+    Merge merge;
+    merge.a = std::min(root_id[ra], root_id[rb]);
+    merge.b = std::max(root_id[ra], root_id[rb]);
+    merge.distance = m.distance;
+    merge.size = root_size[ra] + root_size[rb];
+    parent[ra] = rb;
+    root_id[rb] = n + i;
+    root_size[rb] = merge.size;
+    dendrogram.merges.push_back(merge);
+  }
+  return dendrogram;
+}
+
+uint32_t Bits(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+::testing::AssertionResult SameDendrogram(const Dendrogram& got,
+                                          const Dendrogram& want) {
+  if (got.num_leaves != want.num_leaves ||
+      got.merges.size() != want.merges.size()) {
+    return ::testing::AssertionFailure() << "shape differs";
+  }
+  for (size_t i = 0; i < got.merges.size(); ++i) {
+    const Merge& g = got.merges[i];
+    const Merge& w = want.merges[i];
+    if (g.a != w.a || g.b != w.b || g.size != w.size ||
+        Bits(g.distance) != Bits(w.distance)) {
+      return ::testing::AssertionFailure()
+             << "merge " << i << ": got (" << g.a << ", " << g.b << ", "
+             << g.distance << ", " << g.size << "), want (" << w.a << ", "
+             << w.b << ", " << w.distance << ", " << w.size << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Gaussian points with every 7th a zero vector, every 5th an exact copy
+/// of an earlier point (distances tie at 0 and elsewhere) and every 6th a
+/// scaled negation of one (cosine similarity at or just past -1).
+std::vector<Vec> OraclePoints(size_t n, size_t dim, uint64_t seed) {
+  dust::Rng rng(seed);
+  std::vector<Vec> points;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 7 == 3) {
+      points.push_back(Vec(dim, 0.0f));
+    } else if (i % 5 == 4) {
+      points.push_back(points[i / 2]);
+    } else if (i % 6 == 5) {
+      Vec v = points[i / 3];
+      for (float& x : v) x *= -3.0f;
+      points.push_back(v);
+    } else {
+      Vec v(dim);
+      for (float& x : v) x = static_cast<float>(rng.NextGaussian());
+      points.push_back(v);
+    }
+  }
+  return points;
+}
+
+class ExactOracleTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ExactOracleTest, MatrixAndDendrogramsAreBitIdentical) {
+  ScopedBackend backend(GetParam());
+  ASSERT_STREQ(la::simd::ActiveName(),
+               GetParam() || !la::simd::Avx2Available() ? "scalar" : "avx2");
+  for (Metric metric :
+       {Metric::kCosine, Metric::kEuclidean, Metric::kManhattan}) {
+    for (size_t n : {0u, 1u, 2u, 3u, 5u, 63u, 64u, 65u, 129u, 300u}) {
+      for (size_t dim : {1u, 5u, 13u, 24u, 64u, 70u}) {
+        const std::string where = std::string(la::MetricName(metric)) +
+                                  " n=" + std::to_string(n) +
+                                  " dim=" + std::to_string(dim);
+        std::vector<Vec> points = OraclePoints(n, dim, n * 100 + dim);
+        DistanceMatrix matrix(points, metric);
+        const std::vector<float> want = ReferenceDistances(points, metric);
+        ASSERT_EQ(matrix.size(), n) << where;
+        ASSERT_TRUE(n == 0 || std::memcmp(matrix.row(0), want.data(),
+                                          n * n * sizeof(float)) == 0)
+            << where;
+        for (Linkage linkage : {Linkage::kSingle, Linkage::kComplete,
+                                Linkage::kAverage, Linkage::kWard}) {
+          EXPECT_TRUE(SameDendrogram(AgglomerativeCluster(matrix, linkage),
+                                     ReferenceCluster(want, n, linkage)))
+              << where << " " << LinkageName(linkage);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ExactOracleTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Scalar" : "Dispatched";
+                         });
+
+TEST_P(ExactOracleTest, MatrixWithExtremeValuesIsBitIdentical) {
+  ScopedBackend backend(GetParam());
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Norms that underflow to 0 or overflow to inf, non-finite coordinates,
+  // and exact multiples, where the cosine clamps and zero-norm cases act.
+  std::vector<Vec> points = {
+      {0.0f, 0.0f, 0.0f},    {1e-30f, 2e-30f, 0.0f}, {1e30f, -1e30f, 3e30f},
+      {nan, 1.0f, 2.0f},     {inf, 1.0f, 0.0f},      {1.0f, 2.0f, 3.0f},
+      {-1.0f, -2.0f, -3.0f}, {-3.0f, -6.0f, -9.0f},  {0.1f, 0.2f, 0.3f},
+      {-0.3f, 0.7f, 1e-7f},
+  };
+  for (Metric metric :
+       {Metric::kCosine, Metric::kEuclidean, Metric::kManhattan}) {
+    DistanceMatrix matrix(points, metric);
+    const std::vector<float> want = ReferenceDistances(points, metric);
+    EXPECT_EQ(std::memcmp(matrix.row(0), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << la::MetricName(metric);
+  }
+}
+
+TEST(AgglomerativeTest, LeavesTheInputMatrixUnchanged) {
+  std::vector<Vec> points = TwoBlobs(9, 4);
+  DistanceMatrix matrix(points, Metric::kEuclidean);
+  const size_t n = points.size();
+  const std::vector<float> before(matrix.row(0), matrix.row(0) + n * n);
+  AgglomerativeCluster(matrix, Linkage::kAverage);
+  EXPECT_EQ(std::memcmp(matrix.row(0), before.data(),
+                        before.size() * sizeof(float)),
+            0);
+}
 
 TEST(ConstrainedTest, CannotLinkIsRespected) {
   // 4 points, two groups: {0,1} same group, {2,3} same group. Even though

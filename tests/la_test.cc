@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "la/distance.h"
 #include "la/matrix.h"
@@ -201,6 +203,115 @@ TEST_P(KernelParityTest, BackendsAgreeWithinTolerance) {
 
 INSTANTIATE_TEST_SUITE_P(AwkwardDims, KernelParityTest,
                          ::testing::Values(0, 1, 7, 31, 33, 1024));
+
+/// Both backends, whether or not DUST_FORCE_SCALAR pins Active().
+std::vector<const simd::Kernels*> AllBackends() {
+  std::vector<const simd::Kernels*> backends = {&simd::ScalarKernels()};
+  if (simd::Avx2Available()) backends.push_back(&simd::Avx2Kernels());
+  return backends;
+}
+
+uint32_t Bits(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+TEST(KernelDotRowsTest, BitIdenticalToOneDotPerCandidate) {
+  dust::Rng rng(4242);
+  for (const simd::Kernels* ops : AllBackends()) {
+    for (size_t n = 0; n <= 40; ++n) {
+      for (size_t count = 0; count <= 9; ++count) {
+        // A stride past n, so the kernel must not assume packed rows.
+        const size_t stride = n + 3;
+        Vec a = RandomVec(n, &rng);
+        Vec base = RandomVec(count * stride, &rng);
+        std::vector<float> out(count, -1.0f);
+        ops->dot_rows(a.data(), base.data(), stride, count, n, out.data());
+        for (size_t c = 0; c < count; ++c) {
+          const float want = ops->dot(a.data(), base.data() + c * stride, n);
+          EXPECT_EQ(Bits(out[c]), Bits(want))
+              << ops->name << " n " << n << " count " << count << " c " << c;
+        }
+      }
+    }
+  }
+}
+
+/// First index of the minimum of row + mask below +inf, n if none.
+size_t ReferenceMaskedArgmin(const std::vector<float>& row,
+                             const std::vector<float>& mask, float* best) {
+  *best = std::numeric_limits<float>::infinity();
+  size_t arg = row.size();
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (row[i] + mask[i] < *best) {
+      *best = row[i] + mask[i];
+      arg = i;
+    }
+  }
+  return arg;
+}
+
+TEST(KernelMaskedArgminTest, FirstMinimumWithTiesMasksAndTails) {
+  const float inf = std::numeric_limits<float>::infinity();
+  dust::Rng rng(777);
+  for (const simd::Kernels* ops : AllBackends()) {
+    for (size_t n = 0; n <= 40; ++n) {
+      for (int trial = 0; trial < 20; ++trial) {
+        // Values from {0, 1, 2, 3} force ties; about a third are masked.
+        std::vector<float> row(n), mask(n);
+        for (size_t i = 0; i < n; ++i) {
+          row[i] = static_cast<float>(rng.NextBelow(4));
+          mask[i] = rng.NextBelow(3) == 0 ? inf : 0.0f;
+        }
+        float want_best = 0.0f, best = -1.0f;
+        const size_t want = ReferenceMaskedArgmin(row, mask, &want_best);
+        EXPECT_EQ(ops->masked_argmin(row.data(), mask.data(), n, &best),
+                  want)
+            << ops->name << " n " << n;
+        EXPECT_EQ(best, want_best) << ops->name << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(KernelMaskedArgminTest, EdgeCases) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const simd::Kernels* ops : AllBackends()) {
+    for (size_t n : {1u, 7u, 8u, 9u, 16u, 17u, 33u}) {
+      float best = 0.0f;
+      // Everything masked, or everything at +inf: no winner.
+      std::vector<float> row(n, 1.0f), mask(n, inf);
+      EXPECT_EQ(ops->masked_argmin(row.data(), mask.data(), n, &best), n);
+      EXPECT_EQ(best, inf);
+      std::vector<float> far(n, inf), live(n, 0.0f);
+      EXPECT_EQ(ops->masked_argmin(far.data(), live.data(), n, &best), n);
+      // The minimum in the last lane, behind a masked smaller value and a
+      // NaN, wins over every earlier entry.
+      row.assign(n, 5.0f);
+      row[n - 1] = 2.0f;
+      row[0] = nan;
+      mask.assign(n, 0.0f);
+      if (n > 2) {
+        row[1] = -1.0f;
+        mask[1] = inf;
+      }
+      const size_t want = n == 1 ? n : n - 1;
+      EXPECT_EQ(ops->masked_argmin(row.data(), mask.data(), n, &best), want)
+          << ops->name << " n " << n;
+      if (want < n) {
+        EXPECT_EQ(best, 2.0f);
+      }
+      // Every entry tied: the first live one wins.
+      std::vector<float> tied(n, 3.0f);
+      mask.assign(n, 0.0f);
+      mask[0] = inf;
+      EXPECT_EQ(ops->masked_argmin(tied.data(), mask.data(), n, &best),
+                n == 1 ? n : 1u);
+    }
+  }
+}
 
 TEST(SimdDispatchTest, ForceScalarSwapsBackend) {
   simd::ForceScalar(true);
