@@ -94,6 +94,9 @@ Dendrogram AgglomerativeCluster(const la::DistanceMatrix& distances,
     synced[x] = rewritten.size();
   };
 
+  // Clusters set aside because they have no finite distance to any other.
+  std::vector<size_t> isolated;
+
   size_t remaining = n;
   size_t first_live = 0;
   while (remaining > 1) {
@@ -108,11 +111,19 @@ Dendrogram AgglomerativeCluster(const la::DistanceMatrix& distances,
       // Ties go to the lowest index.
       float d = inf;
       size_t nn = ops.masked_argmin(row(top), mask.data(), n, &d);
-      DUST_CHECK(nn < n && "a cluster has no finite distance to any other");
       // Prefer the chain predecessor on ties so reciprocity is detected.
       if (chain.size() >= 2) {
         size_t prev = chain[chain.size() - 2];
         if (row(top)[prev] == d) nn = prev;
+      }
+      if (nn == n) {
+        // No finite distance from top to any live cluster (a NaN or +inf
+        // row). Set it aside; it joins the rest at +inf once they are one.
+        chain.pop_back();
+        mask[top] = inf;
+        isolated.push_back(top);
+        --remaining;
+        break;
       }
       if (chain.size() >= 2 && nn == chain[chain.size() - 2]) {
         // Reciprocal nearest neighbors: merge top and nn.
@@ -158,6 +169,9 @@ Dendrogram AgglomerativeCluster(const la::DistanceMatrix& distances,
       chain.push_back(nn);
     }
   }
+
+  while (mask[first_live] != 0.0f) ++first_live;
+  for (size_t x : isolated) raw.push_back({first_live, x, inf});
 
   // NN-chain emits merges out of distance order. Sort ascending (stable for
   // determinism on ties) and re-derive cluster ids with a union-find over

@@ -30,12 +30,15 @@ struct Dendrogram {
 
 /// Builds the dendrogram over the points of `distances` under `linkage`.
 /// The matrix is left as it is: clustering works on one internal copy.
-/// Every cluster needs a finite distance to some other (NaN and +inf
-/// entries are never chosen as nearest).
+/// NaN and +inf entries are never chosen as nearest. A cluster with no
+/// finite distance to any other (a NaN point, say) is left out until all
+/// the rest are one cluster and then merged with it at +inf, so the
+/// dendrogram stays well formed and the other points cluster as usual.
 Dendrogram AgglomerativeCluster(const la::DistanceMatrix& distances,
                                 Linkage linkage);
 
-/// Convenience overload: computes the distance matrix first.
+/// Convenience overload: computes the distance matrix first. It holds that
+/// matrix and the working copy at once, two n x n buffers at the peak.
 Dendrogram AgglomerativeCluster(const std::vector<la::Vec>& points,
                                 la::Metric metric, Linkage linkage);
 

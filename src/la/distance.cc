@@ -34,16 +34,6 @@ const char* MetricName(Metric metric) {
   return "";
 }
 
-float CosineDistanceFromDot(float dot, float norm_a, float norm_b) {
-  if (norm_a == 0.0f && norm_b == 0.0f) return 0.0f;  // identical zero vectors
-  if (norm_a == 0.0f || norm_b == 0.0f) return 1.0f;
-  float sim = dot / (norm_a * norm_b);
-  // Clamp accumulated floating-point error into [-1, 1].
-  if (sim > 1.0f) sim = 1.0f;
-  if (sim < -1.0f) sim = -1.0f;
-  return 1.0f - sim;
-}
-
 float CosineSimilarity(const Vec& a, const Vec& b) {
   DUST_CHECK(a.size() == b.size());
   float dot = 0.0f, a2 = 0.0f, b2 = 0.0f;
@@ -153,25 +143,6 @@ void DistanceToManyImpl(Metric metric, const Vec& query,
   DUST_CHECK(false && "invalid Metric enum value");
 }
 
-/// In place, dots[c] = CosineDistanceFromDot(dots[c], norm_a, norms_b[c]),
-/// bit for bit, in a form the compiler vectorises. Clamping 1 - sim into
-/// [0, 2] gives the same bits as clamping sim into [-1, 1] before
-/// subtracting: rounding is monotonic, and both forms give +0 and 2 at the
-/// ends. Unlike the early-return form, it leaves the compiler no constant
-/// arm to turn into a branch. One call per pair is faster the other way,
-/// so CosineDistanceFromDot keeps it.
-void CosineDistancesFromDots(float norm_a, const float* norms_b, size_t count,
-                             float* dots) {
-  for (size_t c = 0; c < count; ++c) {
-    const float norm_b = norms_b[c];
-    float d = 1.0f - dots[c] / (norm_a * norm_b);
-    d = d < 0.0f ? 0.0f : d;
-    d = d > 2.0f ? 2.0f : d;
-    const float zero_vector = norm_a == 0.0f && norm_b == 0.0f ? 0.0f : 1.0f;
-    dots[c] = norm_a == 0.0f || norm_b == 0.0f ? zero_vector : d;
-  }
-}
-
 }  // namespace
 
 void DistanceToMany(Metric metric, const Vec& query,
@@ -227,7 +198,9 @@ DistanceMatrix::DistanceMatrix(const std::vector<Vec>& points, Metric metric)
     switch (metric) {
       case Metric::kCosine:
         ops.dot_rows(point(i), point(j), dim, count, dim, out);
-        CosineDistancesFromDots(norms[i], norms.data() + j, count, out);
+        for (size_t c = 0; c < count; ++c) {
+          out[c] = CosineDistanceFromDot(out[c], norms[i], norms[j + c]);
+        }
         return;
       case Metric::kEuclidean:
         for (size_t c = 0; c < count; ++c) {

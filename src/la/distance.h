@@ -43,7 +43,19 @@ float CosineSimilarity(const Vec& a, const Vec& b);
 /// L2 norms, with exactly CosineDistance's zero-vector conventions and
 /// [-1, 1] clamping. This is the fused form the norm-caching index scans
 /// use: with norms cached, each candidate costs one dot product.
-float CosineDistanceFromDot(float dot, float norm_a, float norm_b);
+///
+/// Clamping 1 - sim into [0, 2] gives the same bits as clamping sim into
+/// [-1, 1] before subtracting (rounding is monotonic, and both forms give
+/// +0 and 2 at the ends). The select-only form vectorises when called in a
+/// loop, as the distance-matrix fill does.
+inline float CosineDistanceFromDot(float dot, float norm_a, float norm_b) {
+  float d = 1.0f - dot / (norm_a * norm_b);
+  d = d < 0.0f ? 0.0f : d;
+  d = d > 2.0f ? 2.0f : d;
+  // Zero vectors: distance 0 to each other, 1 to everything else.
+  const float zero_vector = norm_a == 0.0f && norm_b == 0.0f ? 0.0f : 1.0f;
+  return norm_a == 0.0f || norm_b == 0.0f ? zero_vector : d;
+}
 
 float EuclideanDistance(const Vec& a, const Vec& b);
 float SquaredEuclideanDistance(const Vec& a, const Vec& b);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -172,6 +173,8 @@ INSTANTIATE_TEST_SUITE_P(AllLinkages, LinkagePropertyTest,
 // The tiled DistanceMatrix fill and the masked-argmin NN-chain against the
 // row-at-a-time fill and the scan-based NN-chain they replaced, kept here
 // verbatim as references. Every float must match bit for bit.
+// (The reference fill converts dots with today's CosineDistanceFromDot;
+// la_test checks that one bit for bit against the form it replaced.)
 
 /// Pins one kernel backend for its scope. Pinning AVX2 re-runs the startup
 /// selection with DUST_FORCE_SCALAR cleared, so a run under that variable
@@ -425,6 +428,102 @@ TEST_P(ExactOracleTest, MatrixWithExtremeValuesIsBitIdentical) {
                           want.size() * sizeof(float)),
               0)
         << la::MetricName(metric);
+  }
+}
+
+TEST_P(ExactOracleTest, InfiniteEntriesAreNeverNearest) {
+  // Points on a line 1e19 apart: squared Euclidean distances between
+  // non-neighbours overflow, so most of the matrix is +inf, yet single
+  // linkage always has a finite neighbour to merge with.
+  ScopedBackend backend(GetParam());
+  std::vector<Vec> points;
+  for (size_t i = 0; i < 70; ++i) {
+    points.push_back({static_cast<float>((i * 37) % 70) * 1e19f, 0.0f});
+  }
+  DistanceMatrix matrix(points, Metric::kEuclidean);
+  const std::vector<float> want = ReferenceDistances(points, Metric::kEuclidean);
+  ASSERT_EQ(std::memcmp(matrix.row(0), want.data(),
+                        want.size() * sizeof(float)),
+            0);
+  ASSERT_TRUE(std::isinf(matrix.at(0, 2)));
+  EXPECT_TRUE(SameDendrogram(AgglomerativeCluster(matrix, Linkage::kSingle),
+                             ReferenceCluster(want, points.size(),
+                                              Linkage::kSingle)));
+}
+
+/// A dendrogram over n leaves with n - 1 merges that only reference earlier
+/// clusters, in ascending order of distance, ending in one cluster.
+::testing::AssertionResult WellFormed(const Dendrogram& d, size_t n) {
+  if (d.num_leaves != n || d.merges.size() + 1 != n) {
+    return ::testing::AssertionFailure() << "shape";
+  }
+  for (size_t i = 0; i < d.merges.size(); ++i) {
+    const Merge& m = d.merges[i];
+    if (m.a >= m.b || m.b >= n + i || std::isnan(m.distance) ||
+        (i > 0 && m.distance < d.merges[i - 1].distance)) {
+      return ::testing::AssertionFailure() << "merge " << i;
+    }
+  }
+  if (d.merges.back().size != n) {
+    return ::testing::AssertionFailure() << "final size";
+  }
+  for (size_t k = 1; k <= n; ++k) {
+    const std::vector<size_t> labels = CutDendrogram(d, k);
+    if (std::set<size_t>(labels.begin(), labels.end()).size() != k) {
+      return ::testing::AssertionFailure() << "cut at " << k;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(AgglomerativeTest, NonFiniteRowsJoinLastAtInfinity) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<Vec> base = TwoBlobs(5, 21);
+  const size_t n = base.size();
+  struct Case {
+    std::string name;
+    DistanceMatrix matrix;
+    size_t bad;  // the point with no finite distance
+  };
+  std::vector<Case> cases;
+  // A NaN coordinate makes that point's cosine row NaN.
+  for (size_t bad : {size_t{0}, size_t{4}, n - 1}) {
+    std::vector<Vec> points = base;
+    points[bad][0] = nan;
+    cases.push_back({"nan row " + std::to_string(bad),
+                     DistanceMatrix(points, Metric::kCosine), bad});
+  }
+  // A point near 1e30 is at +inf from every other.
+  for (size_t bad : {size_t{0}, size_t{6}}) {
+    std::vector<Vec> points = base;
+    points[bad] = {1e30f, -1e30f};
+    cases.push_back({"inf row " + std::to_string(bad),
+                     DistanceMatrix(points, Metric::kEuclidean), bad});
+  }
+  for (const Case& c : cases) {
+    for (Linkage linkage : {Linkage::kSingle, Linkage::kComplete,
+                            Linkage::kAverage, Linkage::kWard}) {
+      const Dendrogram d = AgglomerativeCluster(c.matrix, linkage);
+      ASSERT_TRUE(WellFormed(d, n)) << c.name << " " << LinkageName(linkage);
+      // The other points cluster among themselves at finite distances; the
+      // bad one is a singleton until the last merge.
+      for (size_t i = 0; i + 1 < d.merges.size(); ++i) {
+        EXPECT_LT(d.merges[i].distance, inf) << c.name << " merge " << i;
+      }
+      EXPECT_EQ(d.merges.back().a, c.bad) << c.name;
+      EXPECT_EQ(d.merges.back().distance, inf) << c.name;
+    }
+  }
+  // Everything near 1e30: every off-diagonal entry is +inf.
+  std::vector<Vec> points = base;
+  for (Vec& v : points) v = {v[0] * 1e30f, v[1] * 1e30f};
+  const DistanceMatrix all_inf(points, Metric::kEuclidean);
+  for (Linkage linkage : {Linkage::kSingle, Linkage::kComplete,
+                          Linkage::kAverage, Linkage::kWard}) {
+    const Dendrogram d = AgglomerativeCluster(all_inf, linkage);
+    ASSERT_TRUE(WellFormed(d, n)) << LinkageName(linkage);
+    for (const Merge& m : d.merges) EXPECT_EQ(m.distance, inf);
   }
 }
 

@@ -401,6 +401,50 @@ TEST(DistanceTest, CosineDistanceFromDotConventionsAndClamping) {
   }
 }
 
+TEST(DistanceTest, CosineDistanceFromDotMatchesClampThenSubtract) {
+  // The clamp-sim-then-subtract form with early returns for zero norms,
+  // which the branch-free CosineDistanceFromDot replaced bit for bit.
+  auto reference = [](float dot, float norm_a, float norm_b) {
+    if (norm_a == 0.0f && norm_b == 0.0f) return 0.0f;
+    if (norm_a == 0.0f || norm_b == 0.0f) return 1.0f;
+    float sim = dot / (norm_a * norm_b);
+    if (sim > 1.0f) sim = 1.0f;
+    if (sim < -1.0f) sim = -1.0f;
+    return 1.0f - sim;
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float one_up = std::nextafter(1.0f, 2.0f);
+  const float one_down = std::nextafter(1.0f, 0.0f);
+  std::vector<float> values = {0.0f,   -0.0f,  1.0f,     -1.0f,   one_up,
+                               -one_up, one_down, -one_down, 2.0f, 0.5f,
+                               1e-30f, 1e30f,  -1e30f,   inf,     -inf,
+                               nan,    1e-45f, 3.0f,     -7.25f};
+  dust::Rng rng(5);
+  for (int i = 0; i < 64; ++i) {
+    values.push_back(static_cast<float>(rng.NextGaussian()) * 3.0f);
+  }
+  for (float dot : values) {
+    for (float norm_a : values) {
+      for (float norm_b : values) {
+        const float got = CosineDistanceFromDot(dot, norm_a, norm_b);
+        const float want = reference(dot, norm_a, norm_b);
+        uint32_t got_bits, want_bits;
+        std::memcpy(&got_bits, &got, sizeof(got));
+        std::memcpy(&want_bits, &want, sizeof(want));
+        // Every NaN has to stay a NaN; its payload is not part of the
+        // contract.
+        if (std::isnan(want)) {
+          ASSERT_TRUE(std::isnan(got)) << dot << " " << norm_a << " " << norm_b;
+        } else {
+          ASSERT_EQ(got_bits, want_bits)
+              << dot << " " << norm_a << " " << norm_b;
+        }
+      }
+    }
+  }
+}
+
 TEST(DistanceMatrixTest, MatchesPairwiseDistances) {
   std::vector<Vec> points = {{0, 0}, {3, 4}, {6, 8}};
   DistanceMatrix m(points, Metric::kEuclidean);
