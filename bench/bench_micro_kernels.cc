@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels: distance
 // computations, NN-chain clustering, the vector indexes (build, save, load,
-// query), and tuple encoding. The CI bench-smoke job runs the BM_Index*,
-// BM_Kernel* and diversification (BM_DistanceMatrix, BM_NnChainClustering)
-// benchmarks into BENCH_index.json, BENCH_kernels.json and
-// BENCH_diversify.json and uploads them as per-PR artifacts, so the
-// timings are tracked across revisions.
+// query), and tuple and column embedding. The CI bench-smoke job runs the
+// BM_Index*, BM_Kernel*, diversification (BM_DistanceMatrix,
+// BM_NnChainClustering) and embedding (BM_HashedEncoderEmbed,
+// BM_ColumnEmbedTables) benchmarks into BENCH_index.json,
+// BENCH_kernels.json, BENCH_diversify.json and BENCH_embed.json and uploads
+// them as per-PR artifacts, so the timings are tracked across revisions.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -13,11 +14,16 @@
 
 #include "bench/bench_util.h"
 #include "cluster/agglomerative.h"
+#include "datagen/tus_generator.h"
+#include "embed/column_embedder.h"
+#include "embed/embedder.h"
 #include "index/flat_index.h"
 #include "index/ivf_index.h"
 #include "io/index_io.h"
 #include "la/distance.h"
 #include "la/simd/kernels.h"
+#include "table/serialize.h"
+#include "util/string_util.h"
 
 using namespace dust;
 
@@ -307,6 +313,77 @@ void BM_TupleEncoding(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TupleEncoding);
+
+// --- Embedding (BM_HashedEncoderEmbed, BM_ColumnEmbedTables; exported as
+// BENCH_embed.json) ---
+//
+// The slice Algorithm 1 embeds per query at its defaults: a query table and
+// the 20 tables retrieved for it (num_tables=20), 400 base rows, so some
+// columns exceed the 512-token cap.
+const datagen::Benchmark& EmbedSlice() {
+  static const datagen::Benchmark* slice = [] {
+    datagen::TusConfig config;
+    config.num_queries = 1;
+    config.unionable_per_query = 20;
+    config.distractors_per_base = 0;
+    config.base_rows = 400;
+    config.seed = 1;
+    return new datagen::Benchmark(datagen::GenerateTus(config));
+  }();
+  return *slice;
+}
+
+// Arg 0: family (embed::ModelFamily order). Arg 1: 0 = a serialized tuple,
+// 1 = a 512-token column text. Arg 2: 0 = no noise, 1 = the family's
+// DefaultConfigFor noise.
+void BM_HashedEncoderEmbed(benchmark::State& state) {
+  const auto family = static_cast<embed::ModelFamily>(state.range(0));
+  const datagen::Benchmark& slice = EmbedSlice();
+  std::string text = table::SerializeTableRow(slice.lake[0].data, 0);
+  if (state.range(1) == 1) {
+    for (const table::Column& c : slice.lake[0].data.columns()) {
+      std::vector<std::string> tokens = embed::ColumnTokens(c);
+      if (tokens.size() < 512) continue;
+      tokens.resize(512);
+      text = Join(tokens, " ");
+      break;
+    }
+  }
+  embed::EmbedderConfig config = embed::DefaultConfigFor(family, 64);
+  if (state.range(2) == 0) config.noise_level = 0.0f;
+  auto encoder = embed::MakeEmbedder(family, config);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encoder->Embed(text).data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+  state.SetLabel(std::string(embed::ModelFamilyName(family)) +
+                 (state.range(1) == 1 ? " column" : " tuple") +
+                 (state.range(2) == 1 ? " noisy" : " noiseless"));
+}
+BENCHMARK(BM_HashedEncoderEmbed)
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}, {0, 1}});
+
+void BM_ColumnEmbedTables(benchmark::State& state) {
+  const datagen::Benchmark& slice = EmbedSlice();
+  std::vector<const table::Table*> tables = {&slice.queries[0].data};
+  for (size_t idx : slice.unionable[0]) tables.push_back(&slice.lake[idx].data);
+  embed::ColumnEmbedder embedder(
+      embed::MakeEmbedder(embed::ModelFamily::kRoberta,
+                          embed::DefaultConfigFor(embed::ModelFamily::kRoberta,
+                                                  64)),
+      embed::ColumnSerialization::kColumnLevel);
+  size_t columns = 0;
+  for (const table::Table* t : tables) columns += t->num_columns();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(embedder.EmbedTables(tables).size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(columns));
+  state.counters["tables"] = static_cast<double>(tables.size());
+  state.counters["columns"] = static_cast<double>(columns);
+}
+BENCHMARK(BM_ColumnEmbedTables);
 
 }  // namespace
 

@@ -4,7 +4,14 @@
 //  - Cell-level: embed each cell independently, average the cell embeddings.
 //  - Column-level: concatenate the column's values into one text, keep the
 //    512 most representative tokens by TF-IDF (the LM token limit), embed
-//    the selected tokens at once.
+//    the selected tokens at once. EmbedTables tokenizes each column once:
+//    the same token vector is a TF-IDF document and then the column's text.
+//
+// The TF-IDF corpus is every column passed to one EmbedTables call, so an
+// over-cap column's top tokens, and with them its embedding, depend on the
+// tables embedded beside it. In Algorithm 1 those are the query and the
+// tables retrieved for it: lake column embeddings are per query, not per
+// lake.
 #ifndef DUST_EMBED_COLUMN_EMBEDDER_H_
 #define DUST_EMBED_COLUMN_EMBEDDER_H_
 
@@ -45,12 +52,17 @@ class ColumnEmbedder {
   std::string name() const;
 
  private:
+  // Column-level embedding of a column's token vector (ColumnTokens).
+  la::Vec EmbedColumnTokens(std::vector<std::string> tokens,
+                            const text::TfidfModel* tfidf) const;
+
   std::shared_ptr<TextEmbedder> encoder_;
   ColumnSerialization serialization_;
   size_t token_limit_;
 };
 
-/// Tokens of a column (all cell word-tokens plus the header tokens).
+/// Tokens of a column: the header's word tokens, then each non-null cell's,
+/// in row order.
 std::vector<std::string> ColumnTokens(const table::Column& column);
 
 }  // namespace dust::embed

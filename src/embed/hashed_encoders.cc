@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "text/hashing.h"
-#include "text/tokenizer.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -37,55 +36,13 @@ std::string HashedEncoder::name() const {
   return ModelFamilyName(family_);
 }
 
-std::vector<std::string> FamilyFeatures(ModelFamily family,
-                                        const std::string& text) {
-  using text::CharNgrams;
-  using text::SubwordPieces;
-  using text::WordTokens;
-  std::vector<std::string> features;
-  switch (family) {
-    case ModelFamily::kFastText: {
-      // Words enriched with character 3- and 4-grams (FastText subwords).
-      features = WordTokens(text);
-      for (auto& g : CharNgrams(text, 3)) features.push_back(std::move(g));
-      for (auto& g : CharNgrams(text, 4)) features.push_back(std::move(g));
-      break;
-    }
-    case ModelFamily::kGlove: {
-      features = WordTokens(text);
-      break;
-    }
-    case ModelFamily::kBert: {
-      // Coarse subwords, no cross-token context (small model).
-      features = SubwordPieces(text, 4);
-      break;
-    }
-    case ModelFamily::kRoberta: {
-      // Finer subwords plus within-word piece bigrams as context features
-      // (kept within word boundaries so the representation is insensitive
-      // to cell/token order, like a real contextual encoder's pooled
-      // output).
-      for (const std::string& word : WordTokens(text)) {
-        std::vector<std::string> pieces = SubwordPieces(word, 6);
-        for (size_t i = 0; i + 1 < pieces.size(); ++i) {
-          features.push_back(pieces[i] + "|" + pieces[i + 1]);
-        }
-        for (auto& piece : pieces) features.push_back(std::move(piece));
-      }
-      break;
-    }
-    case ModelFamily::kSbert: {
-      // Sentence-normalized lexical bag: dedup-ish via word tokens only.
-      features = WordTokens(text);
-      break;
-    }
-  }
-  return features;
-}
-
 la::Vec HashedEncoder::Embed(const std::string& text) const {
-  std::vector<std::string> features = FamilyFeatures(family_, text);
-  la::Vec v = text::HashTokensToVector(features, config_.dim, family_seed_);
+  const size_t dim = config_.dim;
+  la::Vec v(dim, 0.0f);
+  const size_t num_features =
+      ForEachFeatureHash(family_, text, family_seed_, [&](uint64_t h) {
+        v[text::HashIndex(h, dim)] += text::HashSign(h);
+      });
   if (family_ == ModelFamily::kSbert) {
     // Sub-linear term weighting: re-embed with sqrt(tf) weights.
     // (Approximated by normalizing the bag vector before noise.)
@@ -101,7 +58,7 @@ la::Vec HashedEncoder::Embed(const std::string& text) const {
     // once (Sec. 6.2.4). The floor keeps long texts from becoming exact.
     la::NormalizeInPlace(&v);
     Rng rng(text::HashString(text, family_seed_ ^ 0xA015EULL));
-    float context = 1.0f + static_cast<float>(features.size()) / 6.0f;
+    float context = 1.0f + static_cast<float>(num_features) / 6.0f;
     float effective = config_.noise_level * (0.3f + 0.7f / context);
     float scale = effective / std::sqrt(static_cast<float>(config_.dim));
     for (float& x : v) {

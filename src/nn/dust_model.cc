@@ -1,7 +1,10 @@
 #include "nn/dust_model.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include "text/hashing.h"
 
@@ -22,9 +25,30 @@ std::string DustModel::name() const {
 }
 
 text::SparseVector DustModel::Featurize(const std::string& serialized) const {
-  return text::HashTokensSparse(
-      embed::FamilyFeatures(config_.family, serialized), config_.feature_dim,
-      feature_seed_);
+  // (index, sign) per feature in stream order; the stable sort keeps that
+  // order within an index, so each index sums its signs in stream order.
+  std::vector<std::pair<uint32_t, float>> hits;
+  embed::ForEachFeatureHash(
+      config_.family, serialized, feature_seed_, [&](uint64_t h) {
+        hits.emplace_back(
+            static_cast<uint32_t>(text::HashIndex(h, config_.feature_dim)),
+            text::HashSign(h));
+      });
+  std::stable_sort(hits.begin(), hits.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  text::SparseVector sv;
+  for (size_t i = 0; i < hits.size();) {
+    const uint32_t index = hits[i].first;
+    float sum = 0.0f;
+    for (; i < hits.size() && hits[i].first == index; ++i) {
+      sum += hits[i].second;
+    }
+    if (sum == 0.0f) continue;  // cancelled signs
+    sv.indices.push_back(index);
+    sv.values.push_back(sum);
+  }
+  return sv;
 }
 
 la::Vec DustModel::EncodeSerialized(const std::string& serialized) const {

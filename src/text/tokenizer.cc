@@ -4,24 +4,16 @@
 
 namespace dust::text {
 
+void AppendWordTokens(std::string_view s, std::vector<std::string>* out) {
+  ForEachWord(s, [out](std::string_view word) {
+    std::string& token = out->emplace_back(word);
+    for (char& c : token) c = static_cast<char>(WordByte(c));
+  });
+}
+
 std::vector<std::string> WordTokens(std::string_view s) {
   std::vector<std::string> out;
-  std::string cur;
-  auto flush = [&] {
-    if (!cur.empty()) {
-      out.push_back(cur);
-      cur.clear();
-    }
-  };
-  for (char raw : s) {
-    unsigned char c = static_cast<unsigned char>(raw);
-    if (std::isalnum(c)) {
-      cur += static_cast<char>(std::tolower(c));
-    } else {
-      flush();
-    }
-  }
-  flush();
+  AppendWordTokens(s, &out);
   return out;
 }
 
@@ -35,28 +27,6 @@ std::vector<std::string> CharNgrams(std::string_view s, size_t n) {
     }
     for (size_t i = 0; i + n <= padded.size(); ++i) {
       out.push_back(padded.substr(i, n));
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> SubwordPieces(std::string_view s, size_t max_piece) {
-  std::vector<std::string> out;
-  if (max_piece == 0) max_piece = 4;
-  for (const std::string& word : WordTokens(s)) {
-    if (word.size() <= max_piece) {
-      out.push_back(word);
-      continue;
-    }
-    size_t pos = 0;
-    bool first = true;
-    while (pos < word.size()) {
-      size_t len = std::min(max_piece, word.size() - pos);
-      std::string piece = word.substr(pos, len);
-      if (!first) piece = "##" + piece;
-      out.push_back(piece);
-      pos += len;
-      first = false;
     }
   }
   return out;

@@ -58,7 +58,13 @@ class Rng {
 };
 
 /// SplitMix64 single step; also usable as a cheap 64-bit mixer/hash.
-uint64_t SplitMix64(uint64_t x);
+/// Inline: the feature hashers call it once per feature.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
 
 }  // namespace dust
 

@@ -4,7 +4,6 @@
 
 #include "embed/column_embedder.h"
 #include "embed/embedder.h"
-#include "embed/hashed_encoders.h"
 #include "embed/starmie_encoder.h"
 #include "embed/tuple_encoder.h"
 #include "la/distance.h"
@@ -70,13 +69,6 @@ TEST(EmbedderTest, FamilyNames) {
   EXPECT_STREQ(ModelFamilyName(ModelFamily::kSbert), "sBERT");
 }
 
-TEST(EmbedderTest, FamilyFeaturesDifferByFamily) {
-  auto words = FamilyFeatures(ModelFamily::kGlove, "chippewa park");
-  auto subwords = FamilyFeatures(ModelFamily::kBert, "chippewa park");
-  EXPECT_EQ(words.size(), 2u);
-  EXPECT_GT(subwords.size(), 2u);  // "chippewa" splits into pieces
-}
-
 Table MakeParkTable() {
   Table t("parks");
   EXPECT_TRUE(t.AddColumn("Park Name",
@@ -132,6 +124,34 @@ TEST(ColumnEmbedderTest, EmbedTablesShapes) {
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].size(), 3u);
   EXPECT_EQ(all[0][0].size(), 16u);
+}
+
+TEST(ColumnEmbedderTest, OverCapColumnDependsOnCompanionTables) {
+  // The TF-IDF corpus is every column of one EmbedTables call, so which
+  // tokens an over-cap column keeps depends on the tables embedded with it.
+  // This is why Algorithm 1 embeds lake columns per query: the corpus is the
+  // query plus the tables retrieved for it.
+  auto enc = std::shared_ptr<TextEmbedder>(
+      MakeEmbedder(ModelFamily::kRoberta, NoiselessConfig(32)));
+  ColumnEmbedder embedder(enc, ColumnSerialization::kColumnLevel, 4);
+  Table a("a");
+  ASSERT_TRUE(a.AddColumn("x", {Value("alpha beta gamma"),
+                                Value("delta epsilon zeta")}).ok());
+  ASSERT_TRUE(a.AddColumn("z", {Value("under"), Value("cap")}).ok());
+  Table common_ab("b");
+  ASSERT_TRUE(common_ab.AddColumn("y", {Value("alpha beta")}).ok());
+  Table common_ez("c");
+  ASSERT_TRUE(common_ez.AddColumn("y", {Value("epsilon zeta")}).ok());
+  auto with_ab = embedder.EmbedTables({&a, &common_ab});
+  auto with_ez = embedder.EmbedTables({&a, &common_ez});
+  // 7 tokens over a cap of 4: kept are {delta epsilon gamma x} beside
+  // common_ab, {alpha beta delta gamma} beside common_ez.
+  EXPECT_NE(with_ab[0][0], with_ez[0][0]);
+  EXPECT_EQ(with_ab[0][0], enc->Embed("delta epsilon gamma x"));
+  EXPECT_EQ(with_ez[0][0], enc->Embed("alpha beta delta gamma"));
+  // A column within the cap keeps all its tokens whatever the corpus.
+  EXPECT_EQ(with_ab[0][1], with_ez[0][1]);
+  EXPECT_EQ(with_ab[0][1], enc->Embed("z under cap"));
 }
 
 TEST(ColumnEmbedderTest, NameIncludesSerializationAndModel) {

@@ -1,11 +1,13 @@
 // Unit tests for src/text: tokenization, TF-IDF, feature hashing.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <set>
 
 #include "text/hashing.h"
 #include "text/tfidf.h"
 #include "text/tokenizer.h"
+#include "util/rng.h"
 
 namespace dust::text {
 namespace {
@@ -32,14 +34,34 @@ TEST(TokenizerTest, CharNgramsShortWordKeptWhole) {
   EXPECT_EQ(grams, (std::vector<std::string>{"<ab>"}));
 }
 
-TEST(TokenizerTest, SubwordPiecesSplitLongWords) {
-  auto pieces = SubwordPieces("chippewa", 4);
-  EXPECT_EQ(pieces, (std::vector<std::string>{"chip", "##pewa"}));
+TEST(TokenizerTest, WordByteIsCctypeOfTheCLocale) {
+  // The table must equal <cctype> in the "C" locale (the process default),
+  // so tokens are what they were when <cctype> classified them, and stay so
+  // under any locale a host program sets.
+  for (int c = 0; c < 256; ++c) {
+    int expected = std::isalnum(c) ? std::tolower(c) : 0;
+    EXPECT_EQ(WordByte(static_cast<char>(c)), expected) << "byte " << c;
+  }
 }
 
-TEST(TokenizerTest, SubwordPiecesKeepShortWords) {
-  auto pieces = SubwordPieces("park usa", 6);
-  EXPECT_EQ(pieces, (std::vector<std::string>{"park", "usa"}));
+TEST(TokenizerTest, WordTokensOfEveryByte) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) all += static_cast<char>(c);
+  EXPECT_EQ(WordTokens(all),
+            (std::vector<std::string>{"0123456789",
+                                      "abcdefghijklmnopqrstuvwxyz",
+                                      "abcdefghijklmnopqrstuvwxyz"}));
+  EXPECT_EQ(WordTokens(std::string("ab\0CD\xE9z", 7)),
+            (std::vector<std::string>{"ab", "cd", "z"}));
+}
+
+TEST(TokenizerTest, AppendWordTokensAppends) {
+  std::vector<std::string> tokens = {"x"};
+  AppendWordTokens("River Park", &tokens);
+  AppendWordTokens("", &tokens);
+  AppendWordTokens("USA", &tokens);
+  EXPECT_EQ(tokens,
+            (std::vector<std::string>{"x", "river", "park", "usa"}));
 }
 
 TEST(TokenizerTest, ApproxTokenCount) {
@@ -54,50 +76,31 @@ TEST(HashingTest, DeterministicAndSeedSensitive) {
   EXPECT_NE(HashString("park", 1), HashString("lark", 1));
 }
 
-TEST(HashingTest, VectorDeterministic) {
-  std::vector<std::string> tokens = {"a", "b", "c"};
-  EXPECT_EQ(HashTokensToVector(tokens, 16, 7),
-            HashTokensToVector(tokens, 16, 7));
-  EXPECT_NE(HashTokensToVector(tokens, 16, 7),
-            HashTokensToVector(tokens, 16, 8));
-}
-
-TEST(HashingTest, VectorAdditive) {
-  auto va = HashTokensToVector({"a"}, 32, 7);
-  auto vb = HashTokensToVector({"b"}, 32, 7);
-  auto vab = HashTokensToVector({"a", "b"}, 32, 7);
-  for (size_t i = 0; i < 32; ++i) EXPECT_FLOAT_EQ(vab[i], va[i] + vb[i]);
-}
-
-TEST(HashingTest, WeightedVector) {
-  auto v1 = HashTokensToVector({"x"}, 16, 3);
-  auto v2 = HashTokensToVectorWeighted({"x"}, {2.5f}, 16, 3);
-  for (size_t i = 0; i < 16; ++i) EXPECT_FLOAT_EQ(v2[i], 2.5f * v1[i]);
-}
-
-TEST(HashingTest, SparseMergesDuplicates) {
-  SparseVector sv = HashTokensSparse({"a", "a", "b"}, 64, 7);
-  // "a" appears twice -> one index with value +-2 (same sign both times).
-  bool found_two = false;
-  for (float v : sv.values) {
-    if (v == 2.0f || v == -2.0f) found_two = true;
+TEST(HashingTest, IncrementalFormEqualsHashString) {
+  const std::string s = "##chip|##pewa";
+  for (uint64_t seed : {0ULL, 1ULL, 0xFFFFFFFFFFFFFFFFULL}) {
+    const uint64_t basis = HashBasis(seed);
+    EXPECT_EQ(HashFinish(HashBytes(basis, s)), HashString(s, seed));
+    for (size_t cut = 0; cut <= s.size(); ++cut) {
+      uint64_t h = HashBytes(basis, std::string_view(s).substr(0, cut));
+      for (char c : s.substr(cut)) {
+        h = HashByte(h, static_cast<unsigned char>(c));
+      }
+      EXPECT_EQ(HashFinish(h), HashString(s, seed));
+    }
   }
-  EXPECT_TRUE(found_two);
-  // Indices sorted ascending and unique.
-  for (size_t i = 1; i < sv.indices.size(); ++i) {
-    EXPECT_LT(sv.indices[i - 1], sv.indices[i]);
-  }
+  EXPECT_EQ(HashFinish(HashBasis(3)), HashString("", 3));
 }
 
-TEST(HashingTest, SparseMatchesDense) {
-  std::vector<std::string> tokens = {"park", "name", "river", "park"};
-  auto dense = HashTokensToVector(tokens, 128, 9);
-  SparseVector sv = HashTokensSparse(tokens, 128, 9);
-  std::vector<float> rebuilt(128, 0.0f);
-  for (size_t k = 0; k < sv.indices.size(); ++k) {
-    rebuilt[sv.indices[k]] = sv.values[k];
+TEST(HashingTest, IndexIsModuloAndSignIsTopBit) {
+  Rng rng(11);
+  for (int i = 0; i < 1000; ++i) {
+    uint64_t h = rng.NextU64();
+    for (size_t dim : {1, 2, 7, 64, 100, 4096}) {
+      EXPECT_EQ(HashIndex(h, dim), h % dim);
+    }
+    EXPECT_EQ(HashSign(h), (h >> 63) ? 1.0f : -1.0f);
   }
-  EXPECT_EQ(dense, rebuilt);
 }
 
 TEST(TfidfTest, IdfOrdersRareAboveCommon) {
