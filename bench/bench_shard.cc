@@ -53,8 +53,8 @@ void BM_ShardBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardBuild)->ArgsProduct({{1, 2, 4, 8}, {0, 1}});
 
-/// Single-query scatter-gather: every shard answers top-k on its own
-/// thread, hits are remapped and k-way merged.
+/// Single-query scatter-gather: the shards answer top-k in parallel on the
+/// default executor, hits are remapped and k-way merged.
 void BM_ShardSearch(benchmark::State& state) {
   const size_t shards = static_cast<size_t>(state.range(0));
   const char* child = kChildTypes[state.range(1)];

@@ -143,14 +143,6 @@ class DustPipeline {
   /// Runs Algorithm 1 for one query, returning `k` diverse tuples.
   Result<PipelineResult> Run(const table::Table& query, size_t k) const;
 
-  /// Routes the search engine's index fan-out (e.g. a sharded shortlist's
-  /// per-query scatter) through a shared thread pool, so a serving process
-  /// creates zero threads per Run. Install once before concurrent traffic;
-  /// the executor must outlive the pipeline or be unset first.
-  void SetExecutor(serve::Executor* executor) {
-    search_->SetExecutor(executor);
-  }
-
   /// Cumulative per-stage cascade statistics of the search engine (see
   /// CascadeSearch::StatsSummary); empty for engines without a cascade.
   std::string CascadeStatsSummary() const {

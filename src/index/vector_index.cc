@@ -1,8 +1,6 @@
 #include "index/vector_index.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
@@ -88,7 +86,7 @@ Result<std::unique_ptr<VectorIndex>> VectorIndex::Compact(
   // a fresh build over the survivors would produce.
   compacted->AddAll(live);
   compacted->SetExecutor(executor_);
-  return std::move(compacted);
+  return compacted;
 }
 
 void FinalizeHits(std::vector<SearchHit>* hits, size_t k) {
@@ -106,44 +104,13 @@ std::vector<std::vector<SearchHit>> VectorIndex::SearchBatch(
   std::vector<std::vector<SearchHit>> results(queries.size());
   if (queries.empty()) return results;
   // Concurrent Search calls are safe for every index (IVF's lazy train is
-  // internally locked), so workers fan out over all queries directly.
-  if (executor != nullptr) {
-    // Serving path: pooled threads, zero thread creation per batch. Each
-    // iteration writes only its own slot, and results are per-query, so
-    // scheduling order cannot change the output.
-    executor->ParallelFor(queries.size(), [&](size_t i) {
-      results[i] = Search(queries[i], k);
-    });
-    return results;
-  }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-  for (size_t i = 0; i < queries.size(); ++i) {
-    results[i] = Search(queries[i], k);
-  }
-#else
-  size_t hardware = std::thread::hardware_concurrency();
-  size_t workers =
-      std::min<size_t>(hardware == 0 ? 1 : hardware, queries.size());
-  if (workers <= 1) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      results[i] = Search(queries[i], k);
-    }
-  } else {
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([&] {
-        for (size_t i = next.fetch_add(1); i < queries.size();
-             i = next.fetch_add(1)) {
-          results[i] = Search(queries[i], k);
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-#endif
+  // internally locked), so workers fan out over all queries directly. Each
+  // iteration writes only its own slot, and results are per-query, so
+  // scheduling order cannot change the output.
+  serve::Executor& pool =
+      executor != nullptr ? *executor : serve::DefaultExecutor();
+  pool.ParallelFor(queries.size(),
+                   [&](size_t i) { results[i] = Search(queries[i], k); });
   return results;
 }
 

@@ -67,20 +67,18 @@ class VectorIndex {
                                         size_t k) const = 0;
 
   /// Top-k nearest neighbors for every query, result i matching query i.
-  /// Routes through the executor installed with SetExecutor (none by
-  /// default). Exactly equivalent to calling Search per query regardless of
-  /// how the work is scheduled.
+  /// Routes through the executor installed with SetExecutor (null, the
+  /// process default, unless one is installed). Exactly equivalent to
+  /// calling Search per query regardless of how the work is scheduled.
   std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<la::Vec>& queries, size_t k) const {
     return SearchBatch(queries, k, executor_);
   }
 
-  /// As above with an explicit executor. When `executor` is non-null the
-  /// queries fan out across its pooled threads — zero thread creation per
-  /// call, the steady-state serving path. When null, the legacy one-shot
-  /// behavior: OpenMP when compiled with it, freshly spawned std::threads
-  /// otherwise. Subclasses may override with fused kernels; results must
-  /// stay bit-identical across all scheduling modes.
+  /// As above with an explicit executor. The queries fan out across its
+  /// pooled threads, or across serve::DefaultExecutor()'s when `executor`
+  /// is null; no call creates a thread. Subclasses may override with fused
+  /// kernels; results must stay bit-identical across all scheduling modes.
   virtual std::vector<std::vector<SearchHit>> SearchBatch(
       const std::vector<la::Vec>& queries, size_t k,
       serve::Executor* executor) const;
@@ -163,11 +161,11 @@ class VectorIndex {
 
   /// Installs a shared executor for internal fan-out: the parameterless
   /// SearchBatch and any scatter the index does per query (ShardedIndex
-  /// propagates to its shards and routes its per-query scatter here, so
-  /// serving never spawns a thread per query). nullptr restores the legacy
-  /// spawn-per-call behavior. Not synchronized against in-flight searches —
-  /// install during serving setup, before traffic. The executor must
-  /// outlive the index or be unset before destruction.
+  /// propagates to its shards and routes its per-query scatter here).
+  /// nullptr restores the process default, serve::DefaultExecutor(). Not
+  /// synchronized against in-flight searches — install during serving
+  /// setup, before traffic. The executor must outlive the index or be unset
+  /// before destruction.
   virtual void SetExecutor(serve::Executor* executor) { executor_ = executor; }
   serve::Executor* executor() const { return executor_; }
 

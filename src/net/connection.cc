@@ -162,7 +162,7 @@ Result<Connection> Connection::Dial(const std::string& host, uint16_t port,
                                  std::strerror(err != 0 ? err : errno));
     }
   }
-  return std::move(conn);
+  return conn;
 }
 
 Status Connection::WriteFrame(const Frame& frame,

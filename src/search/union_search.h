@@ -55,9 +55,9 @@ class UnionSearch {
   }
 
   /// Routes the engine's internal index fan-out (e.g. a sharded shortlist
-  /// index's per-query scatter) through a shared thread pool, so serving
-  /// processes create zero threads per query. Engines without an index
-  /// ignore it. Install during setup, before concurrent traffic.
+  /// index's per-query scatter) through a shared thread pool instead of
+  /// serve::DefaultExecutor(). Engines without an index ignore it. Install
+  /// during setup, before concurrent traffic.
   virtual void SetExecutor(serve::Executor* executor) { (void)executor; }
 
   /// Removes the live lake table named `name` from the engine's view:

@@ -113,4 +113,15 @@ void Executor::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
   loop->all_done.wait(lock, [&] { return loop->done.load() == loop->n; });
 }
 
+Executor& DefaultExecutor() {
+  // Never destroyed: a static Executor would be destroyed at exit, so a
+  // thread or static destructor still fanning out then would use a dead
+  // pool. Idle workers blocked on the queue end with the process.
+  static Executor* const executor = [] {
+    const size_t hardware = std::thread::hardware_concurrency();
+    return new Executor(hardware > 1 ? hardware - 1 : 0);
+  }();
+  return *executor;
+}
+
 }  // namespace dust::serve

@@ -1,12 +1,10 @@
-// Shared fixed-size thread-pool executor — the serving-path replacement for
-// ad-hoc `std::thread` spawning.
+// Shared fixed-size thread-pool executor: the one way the library runs work
+// in parallel.
 //
-// Before this existed, every ShardedIndex::Search scattered across freshly
-// created threads and every non-OpenMP SearchBatch spun up a worker pool per
-// call; under concurrent query traffic that is thousands of thread
-// creations per second on the hot path. An Executor is created once (per
-// QueryServer, bench, or CLI invocation) and reused: steady-state serving
-// does zero thread creation.
+// An Executor is created once (per QueryServer, bench, or CLI invocation)
+// and reused, so steady-state serving does zero thread creation. Index
+// fan-out that is given no executor (a null `serve::Executor*`) runs on the
+// process default, DefaultExecutor(), never on threads spawned per call.
 //
 // The header is dependency-free (standard library only) so the low-level
 // index layer can take an optional `serve::Executor*` without a layering
@@ -91,6 +89,14 @@ class Executor {
   std::atomic<size_t> busy_{0};
   std::vector<std::thread> threads_;
 };
+
+/// The process-wide executor the index layer fans out on when its
+/// `Executor*` is null: hardware_concurrency() - 1 workers plus the caller
+/// (0 workers, all inline, on a single core or when the count is unknown).
+/// Created on first use; concurrent first calls get one instance. Use it
+/// only through ParallelFor, whose caller drains its own loop, so calling
+/// it from inside any pool task cannot deadlock.
+Executor& DefaultExecutor();
 
 }  // namespace dust::serve
 

@@ -84,9 +84,9 @@ class ShardedIndex : public index::VectorIndex {
   void AddAll(const std::vector<la::Vec>& vectors) override;
 
   /// Scatter-gather: every shard answers top-k, hits merge deterministically
-  /// in shard order. With an executor installed (SetExecutor) the scatter
-  /// runs on pooled threads — zero thread creation per query, the serving
-  /// path; without one it spawns a thread per shard (legacy one-shot).
+  /// in shard order. The scatter runs on the executor installed with
+  /// SetExecutor, or on serve::DefaultExecutor() when none (null) is
+  /// installed; either way no thread is created per query.
   std::vector<index::SearchHit> Search(const la::Vec& query,
                                        size_t k) const override;
   using index::VectorIndex::SearchBatch;

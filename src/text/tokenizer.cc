@@ -1,7 +1,5 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
-
 namespace dust::text {
 
 void AppendWordTokens(std::string_view s, std::vector<std::string>* out) {
@@ -36,7 +34,9 @@ size_t ApproxTokenCount(std::string_view s) {
   size_t count = 0;
   bool in_token = false;
   for (char raw : s) {
-    bool space = std::isspace(static_cast<unsigned char>(raw)) != 0;
+    // The "C" locale's isspace set, fixed so a host program's locale
+    // cannot change the count.
+    const bool space = raw == ' ' || (raw >= '\t' && raw <= '\r');
     if (!space && !in_token) ++count;
     in_token = !space;
   }

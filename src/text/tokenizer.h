@@ -66,7 +66,8 @@ void AppendWordTokens(std::string_view s, std::vector<std::string>* out);
 std::vector<std::string> CharNgrams(std::string_view s, size_t n);
 
 /// Number of whitespace-separated tokens — the token budget proxy used by
-/// the simulated LLM baseline.
+/// the simulated LLM baseline. Whitespace is the "C" locale's set (space
+/// and \t \n \v \f \r) whatever the process locale.
 size_t ApproxTokenCount(std::string_view s);
 
 }  // namespace dust::text

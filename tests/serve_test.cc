@@ -2,9 +2,11 @@
 // and ParallelFor semantics (including nesting), BoundedQueue backpressure
 // (blocks, never drops) and close-drains semantics, QueryServer parity with
 // sequential SearchTuples under concurrent clients, per-request rejection
-// of malformed queries, shutdown completing in-flight requests,
-// bit-identical results when ShardedIndex / SearchBatch fan-out moves from
-// spawned threads onto a shared executor, the Metrics instruments
+// of malformed queries, shutdown completing in-flight requests, the
+// process-default executor (one instance, safe to nest, the fan-out used
+// when none is installed), bit-identical results when ShardedIndex /
+// SearchBatch fan-out runs sequentially, on the default executor or on a
+// shared one, the Metrics instruments
 // (histogram quantiles stay O(buckets) regardless of sample count, text
 // exposition format), the ResultCache (LRU order, byte budget, staleness
 // invalidation), and QueryServer cache semantics (hits bit-identical to
@@ -42,6 +44,38 @@ using table::Table;
 using table::Value;
 
 // --- Executor ---------------------------------------------------------------
+
+// Defined first so that, run as a whole binary or alone, the racing calls
+// below are the process's first.
+TEST(DefaultExecutorTest, ConcurrentFirstCallsGetOneInstance) {
+  constexpr size_t kCallers = 8;
+  std::vector<Executor*> seen(kCallers, nullptr);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&seen, t] { seen[t] = &DefaultExecutor(); });
+  }
+  for (std::thread& t : callers) t.join();
+  for (Executor* e : seen) EXPECT_EQ(e, &DefaultExecutor());
+  const size_t hardware = std::thread::hardware_concurrency();
+  EXPECT_EQ(DefaultExecutor().num_threads(), hardware > 1 ? hardware - 1 : 0);
+}
+
+TEST(DefaultExecutorTest, ParallelForFromInsideAnotherExecutorsTask) {
+  // Every worker of `outer` is inside a task that fans out on the default
+  // executor, which may itself be busy; callers drain their own loops.
+  Executor outer(2);
+  std::atomic<size_t> total{0};
+  outer.ParallelFor(6, [&](size_t) {
+    DefaultExecutor().ParallelFor(50, [&](size_t) {
+      DefaultExecutor().ParallelFor(4, [&](size_t) { total.fetch_add(1); });
+    });
+  });
+  outer.Submit([&] {
+         DefaultExecutor().ParallelFor(10, [&](size_t) { total.fetch_add(1); });
+       })
+      .get();
+  EXPECT_EQ(total.load(), 6u * 50u * 4u + 10u);
+}
 
 TEST(ExecutorTest, ParallelForRunsEveryIndexExactlyOnce) {
   Executor executor(4);
@@ -1005,7 +1039,22 @@ std::vector<la::Vec> RandomUnitVectors(size_t n, size_t dim, uint64_t seed) {
   return out;
 }
 
-TEST(ExecutorRoutingTest, ShardedSearchBitIdenticalToThreadPerShard) {
+void ExpectSameHits(const std::vector<index::SearchHit>& got,
+                    const std::vector<index::SearchHit>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].distance, want[i].distance);
+  }
+}
+
+void ExpectSameBatch(const std::vector<std::vector<index::SearchHit>>& got,
+                     const std::vector<std::vector<index::SearchHit>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t q = 0; q < got.size(); ++q) ExpectSameHits(got[q], want[q]);
+}
+
+TEST(ExecutorRoutingTest, ShardedSearchBitIdenticalToSequentialReference) {
   const size_t kDim = 16;
   auto vectors = RandomUnitVectors(400, kDim, 31);
   auto queries = RandomUnitVectors(24, kDim, 32);
@@ -1015,32 +1064,24 @@ TEST(ExecutorRoutingTest, ShardedSearchBitIdenticalToThreadPerShard) {
   shard::ShardedIndex index(kDim, la::Metric::kCosine, config);
   index.AddAll(vectors);
 
-  // Thread-per-shard baseline (no executor installed)...
-  std::vector<std::vector<index::SearchHit>> baseline;
-  for (const la::Vec& q : queries) baseline.push_back(index.Search(q, 9));
-  auto baseline_batch = index.SearchBatch(queries, 9);
+  // Sequential reference: a worker-less executor scatters the shards one
+  // after another on the calling thread, one query at a time.
+  Executor inline_executor(0);
+  index.SetExecutor(&inline_executor);
+  std::vector<std::vector<index::SearchHit>> reference;
+  for (const la::Vec& q : queries) reference.push_back(index.Search(q, 9));
 
-  // ...must match the pooled scatter bit for bit.
+  // The process default (nothing installed) and a pooled scatter must both
+  // match it bit for bit, per query and batched.
   Executor executor(3);
-  index.SetExecutor(&executor);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    auto routed = index.Search(queries[q], 9);
-    ASSERT_EQ(routed.size(), baseline[q].size());
-    for (size_t i = 0; i < routed.size(); ++i) {
-      EXPECT_EQ(routed[i].id, baseline[q][i].id);
-      EXPECT_EQ(routed[i].distance, baseline[q][i].distance);
+  for (Executor* installed : {static_cast<Executor*>(nullptr), &executor}) {
+    index.SetExecutor(installed);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      ExpectSameHits(index.Search(queries[q], 9), reference[q]);
     }
+    ExpectSameBatch(index.SearchBatch(queries, 9), reference);
   }
-  auto routed_batch = index.SearchBatch(queries, 9);
-  ASSERT_EQ(routed_batch.size(), baseline_batch.size());
-  for (size_t q = 0; q < routed_batch.size(); ++q) {
-    ASSERT_EQ(routed_batch[q].size(), baseline_batch[q].size());
-    for (size_t i = 0; i < routed_batch[q].size(); ++i) {
-      EXPECT_EQ(routed_batch[q][i].id, baseline_batch[q][i].id);
-      EXPECT_EQ(routed_batch[q][i].distance, baseline_batch[q][i].distance);
-    }
-  }
-  index.SetExecutor(nullptr);  // executor dies before the index
+  index.SetExecutor(nullptr);  // executors die before the index
 }
 
 TEST(ExecutorRoutingTest, FlatSearchBatchParityAcrossSchedulingModes) {
@@ -1049,17 +1090,32 @@ TEST(ExecutorRoutingTest, FlatSearchBatchParityAcrossSchedulingModes) {
   auto queries = RandomUnitVectors(16, kDim, 42);
   auto index = index::MakeVectorIndex("flat", kDim, la::Metric::kEuclidean);
   index->AddAll(vectors);
-  auto legacy = index->SearchBatch(queries, 5);
+  std::vector<std::vector<index::SearchHit>> sequential;
+  for (const la::Vec& q : queries) sequential.push_back(index->Search(q, 5));
   Executor executor(4);
-  auto pooled = index->SearchBatch(queries, 5, &executor);
-  ASSERT_EQ(legacy.size(), pooled.size());
-  for (size_t q = 0; q < legacy.size(); ++q) {
-    ASSERT_EQ(legacy[q].size(), pooled[q].size());
-    for (size_t i = 0; i < legacy[q].size(); ++i) {
-      EXPECT_EQ(legacy[q][i].id, pooled[q][i].id);
-      EXPECT_EQ(legacy[q][i].distance, pooled[q][i].distance);
-    }
+  ExpectSameBatch(index->SearchBatch(queries, 5), sequential);
+  ExpectSameBatch(index->SearchBatch(queries, 5, &executor), sequential);
+}
+
+TEST(DefaultExecutorTest, UnsettingAnInstalledExecutorKeepsHits) {
+  const size_t kDim = 16;
+  auto vectors = RandomUnitVectors(600, kDim, 51);
+  auto queries = RandomUnitVectors(20, kDim, 52);
+  auto index =
+      index::MakeVectorIndex("sharded:hnsw:3", kDim, la::Metric::kEuclidean);
+  index->AddAll(vectors);
+
+  Executor executor(2);
+  index->SetExecutor(&executor);
+  std::vector<std::vector<index::SearchHit>> installed;
+  for (const la::Vec& q : queries) installed.push_back(index->Search(q, 7));
+  const auto installed_batch = index->SearchBatch(queries, 7);
+
+  index->SetExecutor(nullptr);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ExpectSameHits(index->Search(queries[q], 7), installed[q]);
   }
+  ExpectSameBatch(index->SearchBatch(queries, 7), installed_batch);
 }
 
 TEST_F(ServeFixture, EmbeddingSearchExecutorParity) {

@@ -70,6 +70,18 @@ TEST(TokenizerTest, ApproxTokenCount) {
   EXPECT_EQ(ApproxTokenCount("  x  "), 1u);
 }
 
+TEST(TokenizerTest, ApproxTokenCountSpaceIsCctypeOfTheCLocale) {
+  // Every byte separates tokens exactly when <cctype> in the "C" locale
+  // (the process default) calls it space, under any locale a host sets.
+  for (int c = 0; c < 256; ++c) {
+    const bool space = std::isspace(c) != 0;
+    const std::string alone(1, static_cast<char>(c));
+    const std::string between = "a" + alone + "b";
+    EXPECT_EQ(ApproxTokenCount(alone), space ? 0u : 1u) << "byte " << c;
+    EXPECT_EQ(ApproxTokenCount(between), space ? 2u : 1u) << "byte " << c;
+  }
+}
+
 TEST(HashingTest, DeterministicAndSeedSensitive) {
   EXPECT_EQ(HashString("park", 1), HashString("park", 1));
   EXPECT_NE(HashString("park", 1), HashString("park", 2));
